@@ -33,7 +33,7 @@ import time
 import pytest
 
 import repro
-from _harness import emit_table
+from _harness import emit_metrics, emit_table
 from repro.graphs.csr import CSRGraph, refresh_csr_cache
 from repro.graphs.generators import random_regular_graph, torus_graph
 from repro.kernels import KERNELS
@@ -43,6 +43,7 @@ FULL_SCALE = N >= 100000
 TARGET_BFS_SPEEDUP = 10.0
 TARGET_E2E_SPEEDUP = 3.0
 REPEATS = 3
+CPUS = os.cpu_count() or 1
 
 # The BFS workloads: the two canonical constant-degree families (torus and
 # random-regular expanders) at several degrees.  The asserted >= 10x rows
@@ -161,6 +162,50 @@ def e2e_rows(workloads=E2E_WORKLOADS):
     return rows
 
 
+def _emit(name, rows, title, config):
+    """Archive one result table as ``.txt`` and ``.json``, CPU count stated.
+
+    Every per-tier column (``"<tier> s"``, ``"<tier> ms"``,
+    ``"<tier> speedup"``) becomes one ``<tier>_<what>`` metric entry.
+    """
+    emit_table(name, rows, "{} ({} CPUs)".format(title, CPUS))
+    metrics = []
+    for row in rows:
+        for column, value in row.items():
+            tier, _, what = column.partition(" ")
+            if what not in ("s", "ms", "speedup"):
+                continue
+            metrics.append(
+                {
+                    "workload": row["workload"],
+                    "n": row["n"],
+                    "metric": "{}_{}".format(tier, what),
+                    "unit": "x" if what == "speedup" else what,
+                    "value": value,
+                    "identical": row["identical"],
+                }
+            )
+    emit_metrics(name, metrics, config=dict(config, kernel_tiers=_tiers(), cpus=CPUS))
+
+
+def emit_bfs(rows):
+    _emit(
+        "kernel_bfs_speedup",
+        rows,
+        "Kernel tiers — multi-source BFS over the CSR arrays, n≈{}".format(N),
+        {"primitive": "multi-source BFS over the CSR arrays"},
+    )
+
+
+def emit_e2e(rows):
+    _emit(
+        "kernel_e2e_speedup",
+        rows,
+        "Kernel tiers — {} decomposition end to end, n≈{}".format(E2E_METHOD, N),
+        {"method": E2E_METHOD, "scope": "decomposition end to end"},
+    )
+
+
 def _check(bfs, e2e):
     """The acceptance predicates (only binding at full scale with numpy)."""
     problems = []
@@ -194,11 +239,7 @@ def _check(bfs, e2e):
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_bfs_speedup():
     rows = bfs_rows()
-    emit_table(
-        "kernel_bfs_speedup",
-        rows,
-        "Kernel tiers — multi-source BFS over the CSR arrays, n≈{}".format(N),
-    )
+    emit_bfs(rows)
     for row in rows:
         assert row["identical"], "tiers diverged on {}".format(row["workload"])
     if FULL_SCALE and "numpy" in _tiers():
@@ -213,11 +254,7 @@ def test_kernel_bfs_speedup():
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_e2e_speedup():
     rows = e2e_rows()
-    emit_table(
-        "kernel_e2e_speedup",
-        rows,
-        "Kernel tiers — {} decomposition end to end, n≈{}".format(E2E_METHOD, N),
-    )
+    emit_e2e(rows)
     for row in rows:
         assert row["identical"], "tiers diverged on {}".format(row["workload"])
     if FULL_SCALE and "numpy" in _tiers():
@@ -227,17 +264,9 @@ def test_kernel_e2e_speedup():
 
 def main() -> int:
     bfs = bfs_rows()
-    emit_table(
-        "kernel_bfs_speedup",
-        bfs,
-        "Kernel tiers — multi-source BFS over the CSR arrays, n≈{}".format(N),
-    )
+    emit_bfs(bfs)
     e2e = e2e_rows()
-    emit_table(
-        "kernel_e2e_speedup",
-        e2e,
-        "Kernel tiers — {} decomposition end to end, n≈{}".format(E2E_METHOD, N),
-    )
+    emit_e2e(e2e)
     problems = _check(bfs, e2e)
     print(
         "targets: BFS >= {}x, end-to-end >= {}x at n >= 10^5 -> {}".format(

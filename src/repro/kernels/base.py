@@ -39,55 +39,48 @@ MIS_UNDECIDED, MIS_SELECTED, MIS_DOMINATED = 0, 1, 2
 
 
 class ProposalEngine:
-    """Accelerated proposal computation for one weak-carving run.
+    """Accelerated proposal steps for one weak-carving run.
 
     The weak-phase driver (:func:`repro.weak.phases.run_phase`) keeps the
-    acceptance/rejection bookkeeping itself and only delegates the per-step
+    acceptance/rejection bookkeeping itself and delegates the per-step
     *proposal collection* — "every alive blue node picks the adjacent red
-    cluster minimising ``(cluster label, neighbour uid)``" — to the engine.
-    The engine mirrors the driver's label updates through :meth:`on_join` /
-    :meth:`on_kill` so its internal label array never drifts from
-    ``CarvingState.label``.
+    cluster minimising ``(cluster label, neighbour uid)``" — to the engine
+    through the **batched step protocol**: per phase, one
+    :meth:`start_phase` and one :meth:`red_cluster_sizes` (the threshold
+    denominators, so the driver never rescans the alive set), then per step
+    one :meth:`propose_step` (grouped per target cluster, ascending label
+    order — the order ``sorted(proposals.items())`` produces) and one
+    :meth:`resolve_step` carrying every group's verdict.  The engine keeps
+    its own label array in sync from those verdicts.
 
-    Engines may additionally opt into the **batched step protocol** by
-    setting :attr:`supports_step_batches`.  The driver then calls
-    :meth:`propose_step` (grouped per target cluster, ascending label order
-    — the order ``sorted(proposals.items())`` produces), decides every
-    group, and hands the per-group verdicts back in a single
-    :meth:`resolve_step` call, instead of mirroring label updates one node
-    at a time.  Cluster sizes of the phase's red clusters come from
-    :meth:`red_cluster_sizes` so the driver never has to rescan the alive
-    set.  The batched path must produce byte-identical decisions, join
-    orders and tree bookkeeping to the per-node path — the differential
-    tests drive both through the same carving runs.
+    Engines may scan only a **frontier** instead of the whole blue set.
+    Within one phase red nodes never change label or die, and a blue node
+    that did not propose at step ``k`` had no alive red neighbour then, so
+    the only possible proposers at step ``k + 1`` are the alive blue
+    neighbours of the nodes accepted at step ``k``.  Scanning that set in
+    ascending index order reproduces the full blue scan exactly.  The
+    ``pure`` tier has no engine and deliberately keeps the full-scan loop
+    as the oracle: the engine must produce byte-identical decisions, join
+    orders and tree bookkeeping, which the differential tests pin down.
     """
 
-    #: When true the driver uses propose_step/resolve_step and
-    #: red_cluster_sizes instead of propose/on_join/on_kill bookkeeping.
-    supports_step_batches: bool = False
-
     def start_phase(self, bit: int) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def propose(self) -> Dict[int, List[Tuple[Any, Any]]]:  # pragma: no cover
-        """Proposals of the current step: ``{target label: [(node, via)]}``."""
+        """Begin the phase for ``bit``: the first step scans all blue nodes."""
         raise NotImplementedError
 
     def red_cluster_sizes(self) -> Dict[int, int]:  # pragma: no cover
-        """Alive-member counts of this phase's red clusters (batch protocol)."""
+        """Alive-member counts of this phase's red clusters."""
         raise NotImplementedError
 
     def propose_step(
         self,
     ) -> List[Tuple[int, List[Any], List[Any]]]:  # pragma: no cover
-        """One batched proposal step (batch protocol).
+        """One batched proposal step.
 
         Returns ``[(target label, proposer nodes, via nodes)]`` sorted by
         target label ascending, with the proposers of each group in
-        blue-scan order; the empty list ends the phase.  Proposers are
-        resolved within the step, so the engine drops them from its blue
-        frontier and keeps the step's member indices until
-        :meth:`resolve_step` settles them.
+        blue-scan order; the empty list ends the phase.  The engine keeps
+        the step's member indices until :meth:`resolve_step` settles them.
         """
         raise NotImplementedError
 
@@ -96,14 +89,9 @@ class ProposalEngine:
 
         ``decisions`` is aligned with the returned groups: ``True`` joins
         every member of the group to its target label, ``False`` kills the
-        group's members (label ``-1``), all in one batch.
+        group's members (label ``-1``), all in one batch.  The accepted
+        members determine the next step's scan set.
         """
-        raise NotImplementedError
-
-    def on_join(self, node: Any, new_label: int) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def on_kill(self, node: Any) -> None:  # pragma: no cover
         raise NotImplementedError
 
     def close(self) -> None:

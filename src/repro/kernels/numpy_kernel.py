@@ -25,11 +25,24 @@ carving recursion spends much of its life on exactly such small components.
 The weak-phase proposal engine vectorises the "pick the adjacent red
 cluster minimising ``(label, uid)``" rule with a single int64 composite key
 ``label * M + uid`` (``M = max uid + 1``) and a segment-minimum over the
-blue frontier's concatenated rows.  It is only offered when every
+scan set's concatenated rows.  It is only offered when every
 participating uid is a non-negative ``int`` with ``M**2 < 2**63`` (every
 generator in the scenario registry qualifies); otherwise
 :meth:`NumpyKernel.proposal_engine` returns ``None`` and the driver keeps
 the reference adjacency loop.
+
+The engine's scan set is a **frontier**.  Within one phase red nodes never
+change label or die, and a blue node that did not propose at step ``k`` had
+no alive red neighbour then; so the only possible proposers at step
+``k + 1`` are the alive blue neighbours of the nodes accepted at step
+``k``.  ``start_phase`` scans the whole blue set once; ``resolve_step``
+derives the next scan set from the accepted members it scatters,
+deduplicated in ascending engine index — the full blue scan's own order,
+so proposal groups, join order and Steiner trees are byte-identical.  A
+step thus costs in proportion to the previous step's joins, not to the
+blue set.  Scan sets below ``_SMALL_BLUE`` take a scalar path for both
+the proposals and the frontier.  The ``pure`` tier deliberately keeps
+the full scan as the oracle the frontier is differenced against.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from repro.kernels.pure import PureKernel
 _SMALL_FRONTIER = 32
 
 _EMPTY_INT32 = np.empty(0, dtype=np.int32)
-# Below this blue-set size the proposal step runs the scalar fallback.
+# Below this scan-set size the proposal step runs the scalar fallback.
 _SMALL_BLUE = 32
 
 
@@ -316,9 +329,7 @@ class NumpyKernel(PureKernel):
 
 
 class _NumpyProposalEngine(ProposalEngine):
-    """Vectorised proposal steps for one weak-carving run."""
-
-    supports_step_batches = True
+    """Frontier-driven vectorised proposal steps for one weak-carving run."""
 
     def __init__(
         self,
@@ -331,8 +342,13 @@ class _NumpyProposalEngine(ProposalEngine):
         self._kernel = kernel
         self._csr = csr
         self._modulus = modulus
-        self._indptr, self._indices, _ = kernel._arrays(csr)
-        self._rows = kernel._csr_views(csr)[4]
+        (
+            self._indptr,
+            self._indices,
+            _,
+            self._degrees,
+            self._rows,
+        ) = kernel._csr_views(csr)
         index = csr.index
         part = sorted(index[node] for node in participating)
         self._part = np.fromiter(part, count=len(part), dtype=np.int32)
@@ -343,21 +359,19 @@ class _NumpyProposalEngine(ProposalEngine):
         )
         self._labels[self._part] = uid_arr
         self._uids[self._part] = uid_arr
-        self._index = index
-        self._blue = self._part[:0]
         self._bit = 0
         self._closed = False
-        # Pending propose_step groups, settled by the next resolve_step.
-        self._step_members = self._part[:0]
+        # The next step's scan set: ascending engine indices of every blue
+        # node that may have an alive red neighbour (see resolve_step), as
+        # an int32 array or, after a scalar step, a plain list.
+        self._scan: Any = _EMPTY_INT32
+        # Pending propose_step groups, settled by the next resolve_step:
+        # index lists per group after a scalar step (None otherwise), else
+        # the grouped members with per-group labels and lengths.
+        self._step_groups: Optional[List[Tuple[int, List[int]]]] = None
+        self._step_members = _EMPTY_INT32
         self._step_targets = np.empty(0, dtype=np.int64)
         self._step_lengths = np.empty(0, dtype=np.int64)
-
-    # -- state mirroring ------------------------------------------------ #
-    def on_join(self, node: Any, new_label: int) -> None:
-        self._labels[self._index[node]] = new_label
-
-    def on_kill(self, node: Any) -> None:
-        self._labels[self._index[node]] = -1
 
     def close(self) -> None:
         if self._closed:
@@ -374,9 +388,10 @@ class _NumpyProposalEngine(ProposalEngine):
         self._bit = bit
         labels = np.take(self._labels, self._part)
         # Dead nodes carry label -1 (arithmetic shift keeps the sign bit,
-        # so the alive test below excludes them from blue).
+        # so the alive test below excludes them from blue).  The phase's
+        # first step scans the whole blue set, in ascending index order.
         blue = (labels >= 0) & (((labels >> bit) & 1) == 0)
-        self._blue = np.take(self._part, np.flatnonzero(blue))
+        self._scan = np.take(self._part, np.flatnonzero(blue))
 
     def red_cluster_sizes(self) -> Dict[int, int]:
         labels = np.take(self._labels, self._part)
@@ -387,41 +402,38 @@ class _NumpyProposalEngine(ProposalEngine):
         uniques, counts = np.unique(red, return_counts=True)
         return dict(zip(uniques.tolist(), counts.tolist()))
 
+    def _gather(self, nodes: np.ndarray) -> Tuple[np.ndarray, Any]:
+        """Concatenated adjacency rows of ``nodes`` plus the row lengths.
+
+        The lengths are the per-node degree array, or the common degree
+        (an ``int``) on constant-degree graphs.
+        """
+        rows = self._rows
+        if rows is not None:
+            # Constant-degree fast path (torus / random-regular / cycle):
+            # one 2-D row gather replaces the flat-position construction.
+            return np.take(rows, nodes, axis=0).ravel(), rows.shape[1]
+        starts = np.take(self._indptr, nodes)
+        counts = np.take(self._degrees, nodes)
+        total = int(counts.sum())
+        offsets = np.cumsum(counts, dtype=np.int32) - counts
+        flat = np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int32)
+        return np.take(self._indices, flat), counts
+
     def _propose_arrays(
-        self,
+        self, scan: np.ndarray
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The raw per-proposer step result: ``(targets, proposers, vias)``.
 
-        ``proposers`` are engine-space node indices in blue-scan order (the
+        ``proposers`` are engine-space node indices in scan order (the
         order the scalar loop would emit), ``targets`` the chosen red labels
         and ``vias`` the minimising neighbour per proposer.  Returns ``None``
-        when no blue node has an alive red neighbour, and drops the
-        proposers from the blue frontier as a side effect.
+        when no scanned node has an alive red neighbour.
         """
-        blue = self._blue
         bit = self._bit
-        indptr, indices = self._indptr, self._indices
-        labels, uids = self._labels, self._uids
-        rows = self._rows
-        if rows is not None:
-            # Constant-degree fast path (torus / random-regular): one 2-D
-            # row gather replaces the flat-position construction entirely.
-            degree = rows.shape[1]
-            neighbours = np.take(rows, blue, axis=0).ravel()
-            owner = np.repeat(np.arange(blue.size, dtype=np.int32), degree)
-        else:
-            starts = np.take(indptr, blue)
-            counts = np.take(indptr, blue + 1) - starts
-            total = int(counts.sum())
-            if total == 0:
-                return None
-            offsets = np.cumsum(counts, dtype=np.int32) - counts
-            flat = np.repeat(starts - offsets, counts) + np.arange(
-                total, dtype=np.int32
-            )
-            neighbours = np.take(indices, flat)
-            owner = np.repeat(np.arange(blue.size, dtype=np.int32), counts)
-        neighbour_labels = np.take(labels, neighbours)
+        neighbours, counts = self._gather(scan)
+        owner = np.repeat(np.arange(scan.size, dtype=np.int32), counts)
+        neighbour_labels = np.take(self._labels, neighbours)
         # Alive red neighbours only: dead and non-participating indices
         # carry label -1, blue neighbours have bit `bit` clear.
         red = np.flatnonzero(
@@ -432,9 +444,9 @@ class _NumpyProposalEngine(ProposalEngine):
         neighbours = np.take(neighbours, red)
         owner = np.take(owner, red)
         neighbour_labels = np.take(neighbour_labels, red)
-        key = neighbour_labels * self._modulus + np.take(uids, neighbours)
+        key = neighbour_labels * self._modulus + np.take(self._uids, neighbours)
         # Segment minimum per proposing blue node.  `owner` is ascending
-        # (rows were concatenated in blue order), so segments are the runs
+        # (rows were concatenated in scan order), so segments are the runs
         # of equal owner values — all non-empty by construction, which is
         # what makes reduceat safe here.
         segment_starts = np.flatnonzero(
@@ -447,49 +459,24 @@ class _NumpyProposalEngine(ProposalEngine):
         # each segment has exactly one hit; searchsorted keeps the first
         # hit per segment regardless.
         firsts = np.take(hits, np.searchsorted(hits, segment_starts))
-        proposer_positions = np.take(owner, firsts)
-        # A proposer is resolved within the step (joins red or dies), so it
-        # leaves the blue scan list either way.
-        keep = np.ones(blue.size, dtype=bool)
-        keep[proposer_positions] = False
-        self._blue = np.take(blue, np.flatnonzero(keep))
         return (
             np.take(neighbour_labels, firsts),
-            np.take(blue, proposer_positions),
+            np.take(scan, np.take(owner, firsts)),
             np.take(neighbours, firsts),
         )
 
-    def propose(self) -> Dict[int, List[Tuple[Any, Any]]]:
-        blue = self._blue
-        if blue.size == 0:
-            return {}
-        if blue.size < _SMALL_BLUE:
-            return self._propose_scalar()
-        step = self._propose_arrays()
-        if step is None:
-            return {}
-        targets, proposers, vias = step
-        nodes = self._csr.nodes
-        proposals: Dict[int, List[Tuple[Any, Any]]] = {}
-        for target, proposer, via in zip(
-            targets.tolist(), proposers.tolist(), vias.tolist()
-        ):
-            proposals.setdefault(target, []).append((nodes[proposer], nodes[via]))
-        return proposals
-
     def propose_step(self) -> List[Tuple[int, List[Any], List[Any]]]:
-        blue = self._blue
-        if blue.size == 0:
-            return []
-        if blue.size < _SMALL_BLUE:
-            return self._groups_from_dict(self._propose_scalar())
-        step = self._propose_arrays()
+        scan = self._scan
+        if len(scan) < _SMALL_BLUE:
+            return self._propose_scalar(scan) if len(scan) else []
+        step = self._propose_arrays(np.asarray(scan, dtype=np.int32))
         if step is None:
             return []
+        self._step_groups = None
         targets, proposers, vias = step
         # Group by target label, ascending — exactly the order the per-node
         # driver visits `sorted(proposals.items())` — with each group's
-        # proposers kept in blue-scan order (stable sort).
+        # proposers kept in scan order (stable sort).
         order = np.argsort(targets, kind="stable")
         targets = np.take(targets, order)
         proposers = np.take(proposers, order)
@@ -518,72 +505,100 @@ class _NumpyProposalEngine(ProposalEngine):
             )
         return groups
 
-    def _groups_from_dict(
-        self, proposals: Dict[int, List[Tuple[Any, Any]]]
-    ) -> List[Tuple[int, List[Any], List[Any]]]:
-        """Adapt a scalar-path proposal dict to the batched group shape."""
-        index = self._index
-        members: List[int] = []
-        lengths: List[int] = []
-        groups: List[Tuple[int, List[Any], List[Any]]] = []
-        for target in sorted(proposals):
-            pairs = proposals[target]
-            members.extend(index[node] for node, _ in pairs)
-            lengths.append(len(pairs))
-            groups.append(
-                (
-                    target,
-                    [node for node, _ in pairs],
-                    [via for _, via in pairs],
-                )
-            )
-        self._step_members = np.fromiter(
-            members, count=len(members), dtype=np.int32
-        )
-        self._step_targets = np.fromiter(
-            sorted(proposals), count=len(groups), dtype=np.int64
-        )
-        self._step_lengths = np.fromiter(lengths, count=len(groups), dtype=np.int64)
-        return groups
-
     def resolve_step(self, decisions: List[bool]) -> None:
+        if self._step_groups is not None:
+            self._resolve_scalar(decisions)
+            return
         flags = np.fromiter(decisions, count=len(decisions), dtype=bool)
+        lengths = self._step_lengths
+        members = self._step_members
+        labels = self._labels
         # Accepted groups take their target label, rejected ones -1 (dead):
         # one np.repeat + one scatter settles the whole step.
-        verdicts = np.where(flags, self._step_targets, -1)
-        self._labels[self._step_members] = np.repeat(verdicts, self._step_lengths)
+        labels[members] = np.repeat(np.where(flags, self._step_targets, -1), lengths)
+        # Frontier: red nodes never change label and never die within a
+        # phase, and a blue node that did not propose this step had no
+        # alive red neighbour, so the only blue nodes that can propose next
+        # step are the alive blue neighbours of this step's joiners, taken
+        # ascending and deduplicated (the full blue scan's order).
+        joiners = np.take(members, np.flatnonzero(np.repeat(flags, lengths)))
+        if joiners.size == 0:
+            self._scan = _EMPTY_INT32
+            return
+        neighbours, _ = self._gather(joiners)
+        neighbour_labels = np.take(labels, neighbours)
+        blue = np.flatnonzero(
+            (neighbour_labels >= 0) & (((neighbour_labels >> self._bit) & 1) == 0)
+        )
+        # Sort + adjacent difference instead of np.unique, whose hashing
+        # path measures ~10x slower on these int32 candidate arrays.
+        candidates = np.sort(np.take(neighbours, blue))
+        self._scan = np.take(
+            candidates, np.flatnonzero(np.diff(candidates, prepend=-1))
+        )
 
-    def _propose_scalar(self) -> Dict[int, List[Tuple[Any, Any]]]:
-        """Scalar fallback for tiny blue sets (same rule, same results)."""
+    def _propose_scalar(self, scan: Any) -> List[Tuple[int, List[Any], List[Any]]]:
+        """Scalar fallback for tiny scan sets (same rule, same results).
+
+        Reads the csr's own ``indptr``/``indices`` buffers (plain ints, no
+        numpy scalar boxing) and keeps the step's members as index lists
+        for :meth:`_resolve_scalar`.
+        """
+        if isinstance(scan, np.ndarray):
+            scan = scan.tolist()
         bit = self._bit
-        indptr, indices = self._indptr, self._indices
-        labels, uids = self._labels, self._uids
-        nodes = self._csr.nodes
-        proposals: Dict[int, List[Tuple[Any, Any]]] = {}
-        kept = []
-        for position in range(self._blue.size):
-            u = int(self._blue[position])
+        indptr, indices = self._csr.indptr, self._csr.indices
+        label_at, uid_at = self._labels.item, self._uids.item
+        proposals: Dict[int, List[Tuple[int, int]]] = {}
+        for u in scan:
             best_label = -1
             best_uid = -1
             via = -1
-            for p in range(indptr[u], indptr[u + 1]):
-                v = int(indices[p])
-                neighbour_label = int(labels[v])
+            for v in indices[indptr[u] : indptr[u + 1]]:
+                neighbour_label = label_at(v)
                 if neighbour_label < 0 or not (neighbour_label >> bit) & 1:
                     continue
                 if via < 0 or neighbour_label < best_label:
                     best_label = neighbour_label
-                    best_uid = int(uids[v])
+                    best_uid = uid_at(v)
                     via = v
                 elif neighbour_label == best_label:
-                    neighbour_uid = int(uids[v])
+                    neighbour_uid = uid_at(v)
                     if neighbour_uid < best_uid:
                         best_uid = neighbour_uid
                         via = v
             if via >= 0:
-                proposals.setdefault(best_label, []).append((nodes[u], nodes[via]))
-            else:
-                kept.append(position)
-        if proposals:
-            self._blue = self._blue[kept]
-        return proposals
+                proposals.setdefault(best_label, []).append((u, via))
+        nodes = self._csr.nodes
+        step_groups: List[Tuple[int, List[int]]] = []
+        groups: List[Tuple[int, List[Any], List[Any]]] = []
+        for target in sorted(proposals):
+            pairs = proposals[target]
+            step_groups.append((target, [u for u, _ in pairs]))
+            groups.append(
+                (target, [nodes[u] for u, _ in pairs], [nodes[v] for _, v in pairs])
+            )
+        self._step_groups = step_groups
+        return groups
+
+    def _resolve_scalar(self, decisions: List[bool]) -> None:
+        """:meth:`resolve_step` for a scalar step: the same scatter and
+        frontier rule, one node at a time."""
+        labels = self._labels
+        joiners: List[int] = []
+        for (target, members), accept in zip(self._step_groups, decisions):
+            value = target if accept else -1
+            for u in members:
+                labels[u] = value
+            if accept:
+                joiners.extend(members)
+        bit = self._bit
+        indptr, indices = self._csr.indptr, self._csr.indices
+        label_at = labels.item
+        scan = set()
+        for u in joiners:
+            for v in indices[indptr[u] : indptr[u + 1]]:
+                neighbour_label = label_at(v)
+                if neighbour_label >= 0 and not (neighbour_label >> bit) & 1:
+                    scan.add(v)
+        self._scan = sorted(scan)

@@ -29,15 +29,18 @@ whole reproduction, and :func:`run_phase` has three tiers of it:
 
 * an accelerated **proposal engine** supplied by the ambient kernel
   (:mod:`repro.kernels` — the ``numpy`` tier vectorises the per-step
-  proposal computation over the CSR buffers); label updates are mirrored
-  into the engine by :meth:`CarvingState.record_join` /
-  :meth:`CarvingState.kill`, and the driver keeps all acceptance
-  bookkeeping;
+  proposal computation over the CSR buffers), driven through the batched
+  step protocol by :func:`_run_engine_phase`; the driver keeps all
+  acceptance bookkeeping.  The engine scans a *frontier*: red nodes never
+  change label or die within a phase, and a blue node that did not propose
+  at step ``k`` had no alive red neighbour then, so only the alive blue
+  neighbours of step ``k``'s joiners can propose at step ``k + 1``;
 * the flat per-node ``adjacency`` map (built once from the
   :class:`repro.graphs.csr.CSRGraph` index, restricted to the
-  participating set) with a blue-frontier loop over it — the
-  ``pure``-kernel reference path, used whenever the kernel offers no
-  engine;
+  participating set) with a loop over the whole remaining blue set every
+  step — the ``pure``-kernel reference path, used whenever the kernel
+  offers no engine.  It deliberately keeps the full scan: it is the oracle
+  the frontier engine is differenced against;
 * with ``adjacency=None`` (the ``"nx"`` oracle backend) the phase walks
   ``graph.neighbors`` through the subgraph view exactly as the seed
   implementation did.
@@ -81,8 +84,8 @@ class CarvingState:
             ``graph.neighbors`` instead (the networkx oracle path).
         engine: Optional kernel proposal engine
             (:class:`repro.kernels.ProposalEngine`); when set it supersedes
-            both scan paths for proposal collection, and
-            :meth:`record_join` / :meth:`kill` mirror label updates into it.
+            both scan paths for proposal collection and keeps its own label
+            array in sync from the per-step verdicts.
     """
 
     graph: nx.Graph
@@ -134,8 +137,6 @@ class CarvingState:
     def record_join(self, node: Any, via: Any, new_label: int) -> None:
         """Node ``node`` joins cluster ``new_label`` through neighbour ``via``."""
         self.label[node] = new_label
-        if self.engine is not None:
-            self.engine.on_join(node, new_label)
         parent_map = self.tree_parent.setdefault(new_label, {})
         depth_map = self.tree_depth.setdefault(new_label, {})
         if node not in parent_map:
@@ -150,8 +151,6 @@ class CarvingState:
         self.alive.discard(node)
         self.dead.add(node)
         self.label.pop(node, None)
-        if self.engine is not None:
-            self.engine.on_kill(node)
 
 
 def _bit(value: int, position: int) -> int:
@@ -177,14 +176,14 @@ def _run_engine_phase(
 ) -> PhaseReport:
     """The batched-engine variant of :func:`run_phase` (same semantics).
 
-    Kernel engines that support step batches hand the driver whole
-    per-target proposal groups (ascending label, proposers in blue-scan
-    order) plus this phase's red-cluster sizes, so the per-node work left
-    here is exactly the tree bookkeeping the output depends on: the label
-    dict, the Steiner parent/depth maps and the alive/dead sets.  Label
-    mirroring and cluster-size counting happen inside the engine in array
-    space.  Everything observable — decisions, join order, tree depths,
-    event counts — matches the per-node loop byte for byte; the
+    The kernel engine hands the driver whole per-target proposal groups
+    (ascending label, proposers in blue-scan order) plus this phase's
+    red-cluster sizes, so the per-node work left here is exactly the tree
+    bookkeeping the output depends on: the label dict, the Steiner
+    parent/depth maps and the alive/dead sets.  Label tracking, the
+    proposal frontier and cluster-size counting happen inside the engine
+    in array space.  Everything observable — decisions, join order, tree
+    depths, event counts — matches the per-node loop byte for byte; the
     differential kernel tests pin that down.
     """
     engine = state.engine
@@ -273,6 +272,43 @@ def _run_engine_phase(
     )
 
 
+def _scan_blue(
+    blue: List[Any],
+    adjacency: Dict[Any, List[Any]],
+    label: Dict[Any, int],
+    uid_of: Dict[Any, int],
+    bit: int,
+) -> Dict[int, List[Tuple[Any, Any]]]:
+    """One step's proposals over the whole blue list (the reference scan).
+
+    Flat-array path: plain list adjacency + cached uids.  ``label`` holds
+    exactly the alive nodes (kills pop their entry), so one dict probe
+    doubles as the aliveness test.
+    """
+    proposals: Dict[int, List[Tuple[Any, Any]]] = {}
+    label_get = label.get
+    for node in blue:
+        best_label = -1
+        best_uid = -1
+        via = None
+        for neighbour in adjacency[node]:
+            neighbour_label = label_get(neighbour)
+            if neighbour_label is None or not (neighbour_label >> bit) & 1:
+                continue
+            if via is None or neighbour_label < best_label:
+                best_label = neighbour_label
+                best_uid = uid_of[neighbour]
+                via = neighbour
+            elif neighbour_label == best_label:
+                neighbour_uid = uid_of[neighbour]
+                if neighbour_uid < best_uid:
+                    best_uid = neighbour_uid
+                    via = neighbour
+        if via is not None:
+            proposals.setdefault(best_label, []).append((node, via))
+    return proposals
+
+
 def run_phase(
     state: CarvingState,
     bit: int,
@@ -293,13 +329,10 @@ def run_phase(
     Returns:
         A :class:`PhaseReport` with the phase's statistics.
     """
-    if state.engine is not None and getattr(
-        state.engine, "supports_step_batches", False
-    ):
+    if state.engine is not None:
         return _run_engine_phase(state, bit, threshold, max_steps)
     graph = state.graph
     adjacency = state.adjacency
-    engine = state.engine
     uid_of = state.uid_of
     alive = state.alive
     label = state.label
@@ -315,12 +348,9 @@ def run_phase(
     # CSR fast path bookkeeping: within one phase, blue nodes (bit 0) can
     # only *leave* the blue set — a proposer either joins a red cluster or
     # dies, and non-proposers keep their label — so the scan list shrinks
-    # monotonically instead of being re-derived from all alive nodes.  A
-    # kernel proposal engine maintains its own blue frontier internally.
+    # monotonically instead of being re-derived from all alive nodes.
     blue: Optional[List[Any]] = None
-    if engine is not None:
-        engine.start_phase(bit)
-    elif adjacency is not None:
+    if adjacency is not None:
         blue = [node for node in alive if not (label[node] >> bit) & 1]
 
     while True:
@@ -330,32 +360,8 @@ def run_phase(
         # proposal set independent of neighbour iteration order (and hence
         # identical under every backend and kernel tier).
         proposals: Dict[int, List[Tuple[Any, Any]]] = {}
-        if engine is not None:
-            proposals = engine.propose()
-        elif blue is not None:
-            # Flat-array path: plain list adjacency + cached uids.  `label`
-            # holds exactly the alive nodes (kills pop their entry), so one
-            # dict probe doubles as the aliveness test.
-            label_get = label.get
-            for node in blue:
-                best_label = -1
-                best_uid = -1
-                via = None
-                for neighbour in adjacency[node]:
-                    neighbour_label = label_get(neighbour)
-                    if neighbour_label is None or not (neighbour_label >> bit) & 1:
-                        continue
-                    if via is None or neighbour_label < best_label:
-                        best_label = neighbour_label
-                        best_uid = uid_of[neighbour]
-                        via = neighbour
-                    elif neighbour_label == best_label:
-                        neighbour_uid = uid_of[neighbour]
-                        if neighbour_uid < best_uid:
-                            best_uid = neighbour_uid
-                            via = neighbour
-                if via is not None:
-                    proposals.setdefault(best_label, []).append((node, via))
+        if blue is not None:
+            proposals = _scan_blue(blue, adjacency, label, uid_of, bit)
         else:
             # Oracle path: the seed implementation's dict-of-dicts walk.
             for node in list(alive):
