@@ -10,8 +10,8 @@ same wall clock as the legacy fail-fast path.
 Two legs over a 24-cell serial grid, interleaved to decorrelate machine
 drift, ``REPS`` repetitions each after one warmup:
 
-1. **legacy** — ``run_suite(spec, store=...)``: supervision inactive, the
-   historical execution path;
+1. **legacy** — ``run_suite(spec, store=...)``: supervision inactive,
+   i.e. the fail-fast policy;
 2. **supervised** — ``run_suite(spec, store=..., cell_timeout=300,
    max_retries=2)``: the supervised attempt loop, zero faults injected.
 

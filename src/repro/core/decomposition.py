@@ -12,7 +12,7 @@ carving.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, List, Optional, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 import networkx as nx
 
@@ -85,14 +85,20 @@ def decomposition_via_carving(
         carving = carving_algorithm(graph, eps, nodes=remaining, ledger=ledger)
         clustered = carving.clustered_nodes
         if not clustered:
-            # Degenerate fallback (cannot happen for eps < 1 with a correct
-            # carving, which clusters at least a (1 - eps) fraction): cluster
-            # every remaining node as a singleton to guarantee termination.
+            # A randomized carving (LS93) clusters a (1 - eps) fraction only
+            # in expectation, so a repetition can cluster nobody.  Finish
+            # with singletons, greedy-coloured from ``color`` up so adjacent
+            # remaining nodes never share a color.
+            singleton_colors: Dict[Any, int] = {}
             for node in sorted(remaining, key=str):
+                taken = {singleton_colors.get(other) for other in graph.neighbors(node)}
+                chosen = color
+                while chosen in taken:
+                    chosen += 1
+                singleton_colors[node] = chosen
                 colored_clusters.append(
-                    Cluster(nodes=frozenset({node}), label=("singleton", node), color=color)
+                    Cluster(nodes=frozenset({node}), label=("singleton", node), color=chosen)
                 )
-            remaining = set()
             break
         for cluster in carving.clusters:
             colored_clusters.append(

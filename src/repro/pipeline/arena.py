@@ -17,9 +17,10 @@ cheap methods.  The arena removes that redundancy:
   adjacency), materialises the small host ``networkx`` graph from them, and
   seeds the CSR cache so no per-worker freeze (row sorting, fingerprint)
   ever happens;
-* the parent bounds live segments with an LRU byte budget
-  (``arena_mb``) and guarantees ``close``/``unlink`` of every segment on
-  success, failure and ``KeyboardInterrupt``;
+* the parent bounds live segments with a byte budget (``arena_mb``) —
+  the next column is published only once it fits — and guarantees
+  ``close``/``unlink`` of every segment on success, failure and
+  ``KeyboardInterrupt``;
 * when a **spill directory** is configured, columns that would overflow the
   byte budget (or whose shm allocation the kernel refuses) are written to
   disk instead and workers ``mmap`` them read-only — a suite whose topology
@@ -51,7 +52,6 @@ import hashlib
 import mmap
 import os
 import signal
-import threading
 import weakref
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
@@ -158,9 +158,8 @@ class CSRArena:
     :meth:`close`, which the runner calls in a ``finally`` block so success,
     failure and ``KeyboardInterrupt`` all clean up.
 
-    The arena is **thread-safe**: the runner's builder thread publishes the
-    next column while the main thread releases completed ones, so every
-    mutating entry point serialises on one re-entrant lock.
+    The arena is not thread-safe and need not be: the runner's pool
+    executor publishes, releases and closes from its one scheduling thread.
     """
 
     def __init__(
@@ -172,7 +171,6 @@ class CSRArena:
             raise ArenaUnavailable("multiprocessing.shared_memory is not importable")
         self.max_bytes = max(1, int(max_bytes))
         self.spill_dir = spill_dir
-        self._lock = threading.RLock()
         self._segments: "OrderedDict[str, Any]" = OrderedDict()
         self._descriptors: Dict[str, SegmentDescriptor] = {}
         self._spill_paths: Dict[str, str] = {}
@@ -197,10 +195,9 @@ class CSRArena:
         budget must still be runnable, just with no neighbours.  Spilled
         columns live on disk and do not consume the window.
         """
-        with self._lock:
-            if not self._segments:
-                return True
-            return self.live_bytes + int(extra_bytes) <= self.max_bytes
+        if not self._segments:
+            return True
+        return self.live_bytes + int(extra_bytes) <= self.max_bytes
 
     def publish(self, column_key: str, source) -> SegmentDescriptor:
         """Publish a frozen index; returns the (picklable) descriptor.
@@ -223,9 +220,7 @@ class CSRArena:
         buffers = source.to_buffers() if isinstance(source, CSRGraph) else source
         lengths = (len(buffers["indptr"]), len(buffers["indices"]), len(buffers["meta"]))
         total = sum(lengths) or 1
-        with self._lock, telemetry.span(
-            "arena.publish", column=column_key, bytes=total
-        ):
+        with telemetry.span("arena.publish", column=column_key, bytes=total):
             if column_key in self._segments or column_key in self._spill_paths:
                 raise ValueError(
                     "column {!r} is already published".format(column_key)
@@ -295,10 +290,6 @@ class CSRArena:
 
     def release(self, column_key: str) -> None:
         """Close and unlink one column's segment or spill file (idempotent)."""
-        with self._lock:
-            self._release_locked(column_key)
-
-    def _release_locked(self, column_key: str) -> None:
         spill_path = self._spill_paths.pop(column_key, None)
         if spill_path is not None:
             self._descriptors.pop(column_key, None)
@@ -324,9 +315,8 @@ class CSRArena:
 
     def close(self) -> None:
         """Release every remaining segment (safe to call repeatedly)."""
-        with self._lock:
-            for column_key in list(self._segments) + list(self._spill_paths):
-                self._release_locked(column_key)
+        for column_key in list(self._segments) + list(self._spill_paths):
+            self.release(column_key)
 
     def __enter__(self) -> "CSRArena":
         return self
@@ -472,7 +462,7 @@ def install_worker_cleanup() -> None:
     Used as the pool initializer by the suite runner.  Two hooks:
 
     * ``atexit`` — covers normal worker shutdown and ``SystemExit``;
-    * a ``SIGTERM`` handler — the supervisor (and ``Executor.shutdown``
+    * a ``SIGTERM`` handler — an external ``kill`` (or ``Executor.shutdown``
       on some platforms) terminates workers with SIGTERM, which by default
       kills the process *without* running ``atexit``, leaking whatever
       attachments the worker held in its cache.  The handler detaches and

@@ -7,9 +7,9 @@ an ``eps`` axis in carving mode, a ``seed`` axis for repetitions, and a
 :data:`repro.registry.TASKS`) for the §1.1 applications that run on top of
 each decomposition.  :func:`run_suite` expands the grid, skips every cell
 already present in the :class:`~repro.pipeline.store.RunStore` (resume!),
-and executes the remaining cells either serially or over a
-``multiprocessing`` pool, streaming each finished record into the store as
-it arrives.
+and executes the remaining cells through one of exactly two executors —
+serial in-process (``workers=1``) or a process pool — streaming each
+finished record into the store as it arrives.
 
 Determinism is grid-positional, not order-dependent:
 
@@ -41,24 +41,29 @@ CSR-frozen exactly once —
   out against it: workers reattach the adjacency arrays zero-copy
   (:meth:`~repro.graphs.csr.CSRGraph.from_buffers`), so no worker ever
   re-runs a generator or re-freezes an index.  Live segments are bounded by
-  an LRU byte budget (``arena_mb``) and are closed + unlinked on success,
-  failure and ``KeyboardInterrupt`` alike.
+  a byte budget (``arena_mb``): a column that would overflow it waits,
+  built but unpublished, until an earlier column is released.  Segments are
+  closed + unlinked on success, failure and ``KeyboardInterrupt`` alike.
 
 The arena is a pure transport optimisation: records (assignments, metrics,
 seeds) are identical with ``shared_graphs`` on or off — only the per-record
 ``timings`` breakdown shows where the time went.
 
-Execution is **supervised** when any of ``faults`` / ``cell_timeout`` /
-``max_retries`` is given to :func:`run_suite` (see
-:mod:`repro.pipeline.supervisor` and docs/robustness.md): cells get
-per-attempt fault injection (:class:`repro.congest.faults.FaultPlan`),
-wall-clock deadlines, bounded seeded-backoff retries, and poison-cell
-quarantine — a cell that keeps failing is written to the store as an
-explicit ``status="failed"`` record instead of aborting the suite, and a
-later resume re-executes exactly the failed cells.  Worker-pool death
+Both executors run every task group as numbered attempts under a
+:class:`~repro.pipeline.supervisor.SupervisorPolicy`.  The policy is
+**active** when any of ``faults`` / ``cell_timeout`` / ``max_retries`` is
+given to :func:`run_suite` (see :mod:`repro.pipeline.supervisor` and
+docs/robustness.md): cells get per-attempt fault injection
+(:class:`repro.congest.faults.FaultPlan`), wall-clock deadlines, bounded
+seeded-backoff retries, and poison-cell quarantine — a cell that keeps
+failing is written to the store as an explicit ``status="failed"`` record
+instead of aborting the suite, and a later resume re-executes exactly the
+failed cells.  Worker-pool death
 (``BrokenProcessPool``) respawns the pool and falls the in-flight groups
-back to serial execution in the parent.  Without those knobs the legacy
-fail-fast behaviour is unchanged: the first cell error aborts the run.
+back to serial execution in the parent.  Without those knobs the policy is
+inactive, which is fail-fast: the first cell error (or
+``BrokenProcessPool``) aborts the run once the pool is down and the arena
+closed.
 
 Workers re-derive everything else from the cell payload.  Under the spawn
 start method (macOS/Windows defaults) each worker re-imports the scenario
@@ -72,6 +77,7 @@ segments (they attach by name, not by inheritance).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -530,7 +536,7 @@ def _compute_group_records(
 ) -> List[Dict[str, Any]]:
     """Run one task group's algorithm + tasks on an already-built graph.
 
-    ``fault``/``attempt``/``degrade`` exist only on supervised paths:
+    ``fault``/``attempt``/``degrade`` come from the run's supervisor policy:
     ``fault`` carries the suite's fault plan and this attempt's injection
     parameters (the draw itself is re-derived here, so workers need no
     shared state), ``attempt`` lands in every record, and ``degrade``
@@ -552,9 +558,7 @@ def _compute_group_records(
     ``"arena-cached"`` — reattached from a shared-memory segment).
     ``timings["kernel"]`` records the *resolved* hot-path kernel tier (never
     the ``"auto"`` alias), so stores written under different tiers can be
-    regression-diffed; ``kernel=None`` keeps the ambient tier — the serial
-    column path resolves the tier once per column batch and passes ``None``
-    so groups skip the per-group re-resolution; ``timings["graph_backend"]`` likewise records where
+    regression-diffed; ``timings["graph_backend"]`` likewise records where
     the topology lived (``"memory"`` / ``"memmap"``) — both are pure
     execution provenance, the schema is otherwise unchanged and older
     records still resume.  ``seconds`` stays the per-record total for
@@ -616,10 +620,10 @@ def _compute_group_records(
     # — pure counting of the same charges on the same topology).
     ledger = RoundLedger()
     decomposition = None
-    # Every execution path (serial batched or not, pool workers, arena
-    # reattaches) funnels through here, so scoping the kernel switch once
-    # covers the clustering and every task of the group — and one
-    # ``cell.group`` span covers the whole unit in the trace.
+    # Both executors (serial in-process, pool workers, arena reattaches)
+    # funnel through here, so scoping the kernel switch once covers the
+    # clustering and every task of the group — and one ``cell.group`` span
+    # covers the whole unit in the trace.
     with telemetry.span(
         "cell.group", base_id=head.base_id, cells=len(cells), attempt=attempt
     ), use_kernel(kernel):
@@ -795,18 +799,6 @@ def _finish_worker_telemetry(
     return records
 
 
-def _pool_warmup() -> None:
-    """No-op pool task; top-level so pools can pickle it.
-
-    Submitted ``workers`` times before the column builder thread starts so
-    the executor forks its whole worker set while the parent is still
-    effectively single-threaded (the sleep keeps the first workers busy
-    long enough that every submit forks a fresh process instead of reusing
-    an idle one).
-    """
-    time.sleep(0.05)
-
-
 def _execute_cells(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Run one task group from scratch; top-level so pools can pickle it.
 
@@ -937,10 +929,11 @@ class SuiteResult:
             decompositions guarantee: every task of a group reuses one
             clustering), parent-side ``build_s``/``freeze_s`` totals, and
             segment accounting in arena mode.
-        supervisor: Incident accounting of a supervised run (``{}`` on
-            legacy runs): the resolved policy plus ``failures`` /
-            ``retries`` / ``retried_ok`` / ``quarantined`` / ``timeouts`` /
-            ``pool_respawns`` / ``serial_fallbacks`` counters.
+        supervisor: Incident accounting of a supervised run (``{}`` when
+            the policy is inactive, i.e. fail-fast): the resolved policy
+            plus ``failures`` / ``retries`` / ``retried_ok`` /
+            ``quarantined`` / ``timeouts`` / ``pool_respawns`` /
+            ``serial_fallbacks`` counters.
     """
 
     spec: SuiteSpec
@@ -1106,28 +1099,6 @@ def _build_column_graph(
     return graph, csr, build_s, freeze_s
 
 
-# Run-scoped telemetry config stamped into every task payload (set by
-# run_suite around execution, cleared in its finally).  It rides next to
-# the seed plumbing so spawn-started pool workers configure themselves.
-_TELEMETRY_CONFIG: Optional[Dict[str, Any]] = None
-
-
-def _group_payload(cells: Sequence[Cell], spec: SuiteSpec) -> Dict[str, Any]:
-    payload = {
-        "cells": [dataclasses.asdict(cell) for cell in cells],
-        "backend": spec.backend,
-        "kernel": spec.kernel,
-        "graph_backend": spec.graph_backend,
-        "spill_dir": spec.spill_dir,
-        "partition_nodes": spec.partition_nodes,
-        "master_seed": spec.master_seed,
-        "validate": spec.validate,
-    }
-    if _TELEMETRY_CONFIG is not None:
-        payload["telemetry"] = _TELEMETRY_CONFIG
-    return payload
-
-
 def _harvest_records(records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Strip worker telemetry-delta sentinels, merging them into the parent.
 
@@ -1176,344 +1147,8 @@ class _InstrumentedStore:
         return getattr(self._store, name)
 
 
-def _run_serial_batched(
-    spec: SuiteSpec, groups: List[Tuple[str, List[Cell]]], store
-) -> Dict[str, Any]:
-    """Serial column-batched execution: one build per column, one clustering
-    per task group — every cell reuses both.
-
-    The kernel tier is resolved **once per column batch**: the resolved
-    tier is constant within a column (the spec names one tier for the whole
-    suite), so the per-group ``use_kernel`` re-resolution is hoisted to a
-    single column-scoped switch and the groups run with ``kernel=None``
-    (keep the ambient tier)."""
-    from repro.kernels import use_kernel
-
-    stats = {
-        "mode": "column",
-        "columns": len(groups),
-        "graph_builds": 0,
-        "algorithm_runs": 0,
-        "build_s": 0.0,
-        "freeze_s": 0.0,
-    }
-    for _, cells in groups:
-        graph, _, build_s, freeze_s = _build_column_graph(spec, cells[0], mark_frozen=True)
-        stats["graph_builds"] += 1
-        stats["build_s"] += build_s
-        stats["freeze_s"] += freeze_s
-        first = True
-        with use_kernel(spec.kernel):
-            for task_cells in _group_task_cells(cells):
-                records = _compute_group_records(
-                    task_cells,
-                    graph,
-                    spec.backend,
-                    spec.validate,
-                    spec.master_seed,
-                    build_s if first else 0.0,
-                    freeze_s if first else 0.0,
-                    source="build" if first else "column",
-                    kernel=None,
-                    graph_backend=spec.graph_backend,
-                    partition_nodes=spec.partition_nodes,
-                )
-                first = False
-                stats["algorithm_runs"] += 1
-                for record in records:
-                    store.add(record)
-    stats["build_s"] = round(stats["build_s"], 6)
-    stats["freeze_s"] = round(stats["freeze_s"], 6)
-    return stats
-
-
-def _run_pool_arena(
-    spec: SuiteSpec,
-    groups: List[Tuple[str, List[Cell]]],
-    store,
-    workers: int,
-    arena_mb: int,
-    context,
-) -> Dict[str, Any]:
-    """Pool execution against shared-memory column segments, pipelined.
-
-    A dedicated **builder thread** runs ahead of the workers: it builds,
-    freezes and serialises upcoming columns and publishes them into the
-    :class:`~repro.pipeline.arena.CSRArena` while the pool drains the
-    current column's cells — on many-core boxes the parent-side column
-    builds overlap cell execution instead of serialising before it (the
-    ``arena["builder"]`` stats report how much build time was hidden).
-    Backpressure is the arena byte budget: the builder blocks on a
-    condition variable (signalled by every column release) while the next
-    segment would overflow the live window — unless spill is enabled, in
-    which case over-budget columns go to disk exactly as before.  Columns
-    whose graphs the arena cannot serialise fall back to per-cell rebuilds,
-    and a kernel refusing segment allocations degrades the remaining
-    columns the same way — both unchanged from the unpipelined scheduler,
-    and records are identical in every mode.
-
-    The pool is a :class:`concurrent.futures.ProcessPoolExecutor` rather
-    than ``multiprocessing.Pool``: when a worker process dies abruptly
-    (OOM kill, segfault), ``apply_async`` would simply never complete the
-    lost task and the parent would block forever with its segments mapped —
-    the executor raises ``BrokenProcessPool`` instead, so the ``finally``
-    close still unlinks every segment on success, failure, worker death and
-    ``KeyboardInterrupt`` alike.
-    """
-    import queue as queue_module
-    import threading
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-    from repro.graphs.csr import CSRUnsupported
-    from repro.pipeline.arena import ArenaUnavailable, CSRArena, install_worker_cleanup
-
-    total = sum(len(_group_task_cells(cells)) for _, cells in groups)
-    stats = {
-        "mode": "arena",
-        "columns": len(groups),
-        "graph_builds": 0,
-        "algorithm_runs": 0,
-        "build_s": 0.0,
-        "freeze_s": 0.0,
-        "published_segments": 0,
-        "published_bytes": 0,
-        "spilled_segments": 0,
-        "spilled_bytes": 0,
-        "fallback_cells": 0,
-        "arena_mb": arena_mb,
-    }
-    builder_stats = {"columns": 0, "build_s": 0.0, "blocked_s": 0.0, "overlap_s": 0.0}
-
-    arena = CSRArena(max_bytes=arena_mb * 1024 * 1024, spill_dir=spec.spill_dir)
-    ready: "queue_module.Queue" = queue_module.Queue()
-    budget = threading.Condition()
-    stop = threading.Event()
-    # The executor forks workers lazily inside ``pool.submit`` — on the
-    # main thread, concurrently with the builder.  The multiprocessing
-    # resource tracker guards its pipe with a process-wide RLock, and
-    # ``arena.publish`` writes to it (segment create/unlink register):
-    # a worker forked at that instant inherits the RLock *held* by a
-    # thread that does not exist in the child, and its first segment
-    # attach then blocks forever.  Serialising every submit against
-    # every publish makes the fork moment tracker-quiet.
-    fork_lock = threading.Lock()
-    futures: Dict[Any, Optional[str]] = {}  # future -> column key (None: fallback)
-    outstanding: Dict[str, int] = {}
-    completed = 0
-    arena_broken = False
-    builder_error: List[BaseException] = []
-    parent_span = telemetry.current_span_id()
-
-    def _build_ahead() -> None:
-        """The builder stage: build → freeze → serialise → publish, running
-        ahead of the workers under the arena byte budget.
-
-        Products land on the ``ready`` queue as tagged tuples; a ``None``
-        sentinel marks the end.  The builder never touches the kernel
-        switch or the store — it only builds and publishes, so the ambient
-        kernel state stays owned by the workers and the main thread.
-        """
-        telemetry.set_thread_parent(parent_span)
-        broken = False
-        try:
-            for key, cells in groups:
-                if stop.is_set():
-                    return
-                if broken:
-                    # The kernel refused segment allocations: don't waste
-                    # builder time on graphs that could only ride the arena.
-                    ready.put(("fallback", key, cells))
-                    continue
-                overlapped = bool(futures)  # racy snapshot; stats only
-                _, csr, build_s, freeze_s = _build_column_graph(
-                    spec, cells[0], mark_frozen=True, force_freeze=True
-                )
-                if csr is None:
-                    ready.put(("fallback", key, cells))
-                    continue
-                try:
-                    buffers = csr.to_buffers()
-                except CSRUnsupported:
-                    # Labels that don't survive the typed JSON round trip
-                    # cannot ride the arena.
-                    ready.put(("fallback", key, cells))
-                    continue
-                if not arena.spill_enabled:
-                    # Backpressure: hold the column until the live window
-                    # has room (each release notifies).  With spill enabled
-                    # publish() handles over-budget columns itself.
-                    total_bytes = sum(len(part) for part in buffers.values())
-                    blocked_at = time.perf_counter()
-                    with budget:
-                        while not arena.fits(total_bytes) and not stop.is_set():
-                            budget.wait(0.05)
-                    builder_stats["blocked_s"] += time.perf_counter() - blocked_at
-                    if stop.is_set():
-                        return
-                try:
-                    with fork_lock:
-                        descriptor = arena.publish(key, buffers)
-                except ArenaUnavailable as error:
-                    # The wasted build is deliberately NOT counted into
-                    # graph_builds/build_s, which account only for builds
-                    # that serve shared columns.
-                    broken = True
-                    ready.put(("degraded", key, cells, error))
-                    continue
-                builder_stats["columns"] += 1
-                builder_stats["build_s"] += build_s + freeze_s
-                if overlapped:
-                    builder_stats["overlap_s"] += build_s + freeze_s
-                ready.put(("column", key, cells, descriptor, build_s, freeze_s))
-        except BaseException as error:  # pragma: no cover - surfaced below
-            builder_error.append(error)
-        finally:
-            ready.put(None)
-
-    builder = threading.Thread(
-        target=_build_ahead, name="repro-column-builder", daemon=True
-    )
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context, initializer=install_worker_cleanup
-        ) as pool:
-            def _dispatch_fallback(cells) -> None:
-                """Per-worker rebuilds — exactly the shared_graphs=off path.
-
-                Task groups stay intact: the fallback worker still computes
-                one clustering per group.
-                """
-                stats["fallback_cells"] += len(cells)
-                for task_cells in _group_task_cells(cells):
-                    stats["algorithm_runs"] += 1
-                    with fork_lock:
-                        future = pool.submit(
-                            _execute_cells, _group_payload(task_cells, spec)
-                        )
-                    futures[future] = None
-
-            def _handle(item) -> bool:
-                """Apply one builder product; ``False`` for the sentinel."""
-                nonlocal arena_broken
-                if item is None:
-                    if builder_error:
-                        raise builder_error[0]
-                    return False
-                if item[0] == "fallback":
-                    _, _key, cells = item
-                    _dispatch_fallback(cells)
-                elif item[0] == "degraded":
-                    _, _key, cells, error = item
-                    warnings.warn(
-                        "shared-memory arena degraded ({}); remaining columns "
-                        "fall back to per-cell rebuilds".format(error),
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                    arena_broken = True
-                    _dispatch_fallback(cells)
-                else:
-                    _, key, cells, descriptor, build_s, freeze_s = item
-                    stats["graph_builds"] += 1
-                    stats["build_s"] += build_s
-                    stats["freeze_s"] += freeze_s
-                    stats["published_segments"] += 1
-                    stats["published_bytes"] += descriptor.total_len
-                    task_groups = _group_task_cells(cells)
-                    outstanding[key] = len(task_groups)
-                    for task_cells in task_groups:
-                        payload = _group_payload(task_cells, spec)
-                        payload["segment"] = descriptor.to_dict()
-                        stats["algorithm_runs"] += 1
-                        with fork_lock:
-                            future = pool.submit(_execute_arena_cells, payload)
-                        futures[future] = key
-                return True
-
-            # Fork the whole worker set up front, while this process still
-            # has no builder thread: each warmup submit forks one worker
-            # (the sleep inside keeps early workers busy so none is reused),
-            # and once ``len(_processes) == workers`` the executor never
-            # forks again.  Any residual spawn — e.g. if a warmup finished
-            # implausibly fast — is still serialised by ``fork_lock``.
-            warmup = [pool.submit(_pool_warmup) for _ in range(workers)]
-            deadline = time.monotonic() + 2.0
-            processes = getattr(pool, "_processes", None)
-            while (
-                processes is not None
-                and len(processes) < workers
-                and time.monotonic() < deadline
-            ):
-                warmup.append(pool.submit(_pool_warmup))
-                time.sleep(0.01)
-            wait(warmup)
-
-            builder.start()
-            builder_alive = True
-            while completed < total:
-                # Drain whatever the builder has ready without blocking...
-                while builder_alive:
-                    try:
-                        item = ready.get_nowait()
-                    except queue_module.Empty:
-                        break
-                    if not _handle(item):
-                        builder_alive = False
-                # ...blocking for it only while the pool has nothing to chew.
-                if not futures:
-                    if not builder_alive:
-                        raise RuntimeError(
-                            "column builder finished with {} of {} task "
-                            "groups unaccounted".format(total - completed, total)
-                        )
-                    if not _handle(ready.get()):
-                        builder_alive = False
-                    continue
-
-                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    key = futures.pop(future)
-                    # Re-raises the group's own exception, or BrokenProcessPool
-                    # when the worker running it died.
-                    try:
-                        for record in _harvest_records(future.result()):
-                            store.add(record)
-                    except BaseException:
-                        # Don't sit out the queued groups during unwind.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
-                    completed += 1
-                    if key is not None and key in outstanding:
-                        outstanding[key] -= 1
-                        if outstanding[key] == 0:
-                            del outstanding[key]
-                            arena.release(key)
-                            with budget:
-                                budget.notify_all()
-            stats["spilled_segments"] = arena.spilled_count
-            stats["spilled_bytes"] = arena.spilled_bytes
-    finally:
-        # Unblock and retire the builder before tearing the arena down (it
-        # is a daemon thread, so a stuck join can never wedge the process).
-        stop.set()
-        with budget:
-            budget.notify_all()
-        if builder.ident is not None:
-            builder.join(timeout=5.0)
-        arena.close()
-    stats["build_s"] = round(stats["build_s"], 6)
-    stats["freeze_s"] = round(stats["freeze_s"], 6)
-    stats["builder"] = {
-        "columns": builder_stats["columns"],
-        "build_s": round(builder_stats["build_s"], 6),
-        "blocked_s": round(builder_stats["blocked_s"], 6),
-        "overlap_s": round(builder_stats["overlap_s"], 6),
-    }
-    return stats
-
-
 # --------------------------------------------------------------------- #
-# Supervised execution (faults / deadlines / retries / quarantine)
+# Execution: one serial and one pool executor, both under a policy
 # --------------------------------------------------------------------- #
 def _forced_crashes(spec: SuiteSpec, groups, policy) -> frozenset:
     """The exact first-attempt crash victims of an integer ``crash`` budget."""
@@ -1530,41 +1165,140 @@ def _forced_crashes(spec: SuiteSpec, groups, policy) -> frozenset:
     return policy.faults.schedule_crashes(spec.master_seed, base_ids)
 
 
-def _fault_payload(
-    policy, base_id: str, attempt: int, forced: frozenset, hard_crash: bool
-) -> Optional[Dict[str, Any]]:
-    """This attempt's injection parameters for one task group (or ``None``)."""
-    if policy.faults is None:
-        return None
-    return {
-        "plan": policy.faults.to_spec(),
-        "attempt": attempt,
-        "forced_crash": attempt == 1 and base_id in forced,
-        "hard_crash": hard_crash,
-        "cell_timeout": policy.cell_timeout,
-    }
+class _Attempts:
+    """Attempt accounting shared by both executors.
+
+    Every task group runs as numbered attempts under the run's
+    :class:`~repro.pipeline.supervisor.SupervisorPolicy`.  An active policy
+    injects its faults, degrades unavailable kernel tiers, retries a failed
+    group after a seeded backoff and quarantines it as ``status="failed"``
+    records once its attempts are spent.  An inactive policy is fail-fast:
+    the first group error is re-raised unchanged.
+    """
+
+    def __init__(
+        self, spec: SuiteSpec, groups, policy, store, telemetry_config=None
+    ) -> None:
+        self.spec = spec
+        self.policy = policy
+        self.store = store
+        # Stamped into every payload next to the seed plumbing, so
+        # spawn-started pool workers configure their telemetry themselves.
+        self.telemetry_config = telemetry_config
+        self.forced = _forced_crashes(spec, groups, policy)
+        self.stats = policy.stats()
+
+    def fault(self, base_id: str, attempt: int, hard_crash: bool) -> Optional[Dict[str, Any]]:
+        """This attempt's injection parameters for one task group (or ``None``)."""
+        faults = self.policy.faults
+        if faults is None:
+            return None
+        return {
+            "plan": faults.to_spec(),
+            "attempt": attempt,
+            "forced_crash": attempt == 1 and base_id in self.forced,
+            "hard_crash": hard_crash,
+            "cell_timeout": self.policy.cell_timeout,
+        }
+
+    def payload(self, task_cells: List[Cell], attempt: int, hard_crash: bool) -> Dict[str, Any]:
+        """One attempt's task payload for :func:`_execute_cells` and friends."""
+        spec = self.spec
+        payload = {
+            "cells": [dataclasses.asdict(cell) for cell in task_cells],
+            "backend": spec.backend,
+            "kernel": spec.kernel,
+            "graph_backend": spec.graph_backend,
+            "spill_dir": spec.spill_dir,
+            "partition_nodes": spec.partition_nodes,
+            "master_seed": spec.master_seed,
+            "validate": spec.validate,
+            "attempt": attempt,
+            "degrade": self.policy.active,
+        }
+        if self.telemetry_config is not None:
+            payload["telemetry"] = self.telemetry_config
+        fault = self.fault(task_cells[0].base_id, attempt, hard_crash)
+        if fault is not None:
+            payload["fault"] = fault
+        return payload
+
+    def begin(self, base_id: str, attempt: int) -> None:
+        if self.policy.active:
+            telemetry.event("supervisor.attempt", base_id=base_id, attempt=attempt)
+
+    def fail(self, task_cells: List[Cell], attempt: int, error: Exception) -> bool:
+        """Account one failed attempt: ``True`` when the group may retry,
+        ``False`` once it is quarantined.  Fail-fast re-raises ``error``."""
+        if not self.policy.active:
+            raise error
+        from repro.pipeline.supervisor import CellTimeout, failure_records
+
+        self.stats["failures"] += 1
+        if isinstance(error, CellTimeout):
+            self.stats["timeouts"] += 1
+            telemetry.inc("supervisor_timeouts")
+        base_id = task_cells[0].base_id
+        if attempt >= self.policy.max_attempts:
+            self.stats["quarantined"] += 1
+            telemetry.event(
+                "supervisor.quarantine",
+                base_id=base_id,
+                attempts=attempt,
+                error=type(error).__name__,
+            )
+            for record in failure_records(task_cells, self.spec, error, attempt):
+                self.store.add(record)
+            return False
+        self.stats["retries"] += 1
+        telemetry.inc("supervisor_retries")
+        telemetry.event("supervisor.retry", base_id=base_id, attempt=attempt)
+        return True
+
+    def backoff_s(self, task_cells: List[Cell], attempt: int) -> float:
+        return self.policy.backoff_s(self.spec.master_seed, task_cells[0].base_id, attempt)
+
+    def succeeded(self, records: Iterable[Dict[str, Any]], attempt: int) -> None:
+        for record in _harvest_records(records):
+            self.store.add(record)
+        if attempt > 1:
+            self.stats["retried_ok"] += 1
+
+    def run(self, task_cells: List[Cell], attempt: int, execute) -> bool:
+        """Run one group in this process until it ends ok (``True``) or
+        quarantined (``False``); ``execute(attempt)`` returns its records.
+
+        Callers build payloads with ``hard_crash=False``: an injected crash
+        raises :class:`~repro.congest.faults.InjectedFault` instead of
+        exiting, so this process survives and retries it like any failure.
+        """
+        while True:
+            self.begin(task_cells[0].base_id, attempt)
+            try:
+                records = execute(attempt)
+            except Exception as error:
+                if not self.fail(task_cells, attempt, error):
+                    return False
+                time.sleep(self.backoff_s(task_cells, attempt))
+                attempt += 1
+                continue
+            self.succeeded(records, attempt)
+            return True
 
 
-def _run_serial_supervised(
+def _run_serial(
     spec: SuiteSpec,
     groups: List[Tuple[str, List[Cell]]],
-    store,
-    policy,
     shared: bool,
-    sstats: Dict[str, Any],
+    attempts: _Attempts,
 ) -> Dict[str, Any]:
-    """Serial execution under a supervisor policy.
+    """Serial in-process execution.
 
-    Column batching is preserved (the column graph is built once and reused
-    across attempts — cell faults never mutate the topology); every task
-    group runs an attempt loop with seeded backoff, and a group that
-    exhausts its attempts is quarantined as explicit failure records
-    instead of aborting the suite.  Injected crashes raise
-    :class:`~repro.congest.faults.InjectedFault` here (``os._exit`` would
-    kill the suite itself).
+    With ``shared`` on, each column's graph is built and frozen once, on its
+    first attempt, and every task group of the column runs against it —
+    retries too, since cell faults never mutate the topology.  With it off,
+    every attempt rebuilds its topology exactly like a pool worker would.
     """
-    from repro.pipeline import supervisor as sup
-
     stats = {
         "mode": "column" if shared else "off",
         "columns": len(groups),
@@ -1573,124 +1307,91 @@ def _run_serial_supervised(
         "build_s": 0.0,
         "freeze_s": 0.0,
     }
-    forced = _forced_crashes(spec, groups, policy)
+
+    def execute(column: List[Any], task_cells: List[Cell], first: bool, attempt: int):
+        if not shared:
+            stats["graph_builds"] += 1
+            return _execute_cells(attempts.payload(task_cells, attempt, hard_crash=False))
+        if not column:
+            graph, _, build_s, freeze_s = _build_column_graph(
+                spec, task_cells[0], mark_frozen=True
+            )
+            column.extend((graph, build_s, freeze_s))
+            stats["graph_builds"] += 1
+            stats["build_s"] += build_s
+            stats["freeze_s"] += freeze_s
+        graph, build_s, freeze_s = column
+        return _compute_group_records(
+            task_cells,
+            graph,
+            spec.backend,
+            spec.validate,
+            spec.master_seed,
+            build_s if first else 0.0,
+            freeze_s if first else 0.0,
+            source="build" if first else "column",
+            kernel=spec.kernel,
+            graph_backend=spec.graph_backend,
+            partition_nodes=spec.partition_nodes,
+            fault=attempts.fault(task_cells[0].base_id, attempt, hard_crash=False),
+            attempt=attempt,
+            degrade=attempts.policy.active,
+        )
+
     for _, cells in groups:
-        graph = None
-        build_s = freeze_s = 0.0
-        first = True
-        for task_cells in _group_task_cells(cells):
-            base_id = task_cells[0].base_id
-            attempt = 1
-            while True:
-                telemetry.event("supervisor.attempt", base_id=base_id, attempt=attempt)
-                fault = _fault_payload(policy, base_id, attempt, forced, hard_crash=False)
-                try:
-                    if shared:
-                        if graph is None:
-                            graph, _, build_s, freeze_s = _build_column_graph(
-                                spec, cells[0], mark_frozen=True
-                            )
-                            stats["graph_builds"] += 1
-                            stats["build_s"] += build_s
-                            stats["freeze_s"] += freeze_s
-                        records = _compute_group_records(
-                            task_cells,
-                            graph,
-                            spec.backend,
-                            spec.validate,
-                            spec.master_seed,
-                            build_s if first else 0.0,
-                            freeze_s if first else 0.0,
-                            source="build" if first else "column",
-                            kernel=spec.kernel,
-                            graph_backend=spec.graph_backend,
-                            partition_nodes=spec.partition_nodes,
-                            fault=fault,
-                            attempt=attempt,
-                            degrade=True,
-                        )
-                    else:
-                        payload = _group_payload(task_cells, spec)
-                        payload["degrade"] = True
-                        payload["attempt"] = attempt
-                        if fault is not None:
-                            payload["fault"] = fault
-                        records = _execute_cells(payload)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as error:
-                    sstats["failures"] += 1
-                    if isinstance(error, sup.CellTimeout):
-                        sstats["timeouts"] += 1
-                        telemetry.inc("supervisor_timeouts")
-                    if attempt >= policy.max_attempts:
-                        sstats["quarantined"] += 1
-                        telemetry.event(
-                            "supervisor.quarantine",
-                            base_id=base_id,
-                            attempts=attempt,
-                            error=type(error).__name__,
-                        )
-                        for record in sup.failure_records(
-                            task_cells, spec, error, attempt
-                        ):
-                            store.add(record)
-                        break
-                    sstats["retries"] += 1
-                    telemetry.inc("supervisor_retries")
-                    telemetry.event("supervisor.retry", base_id=base_id, attempt=attempt)
-                    time.sleep(policy.backoff_s(spec.master_seed, base_id, attempt))
-                    attempt += 1
-                    continue
+        column: List[Any] = []  # [graph, build_s, freeze_s] once built
+        for position, task_cells in enumerate(_group_task_cells(cells)):
+            group = functools.partial(execute, column, task_cells, position == 0)
+            if attempts.run(task_cells, 1, group):
                 stats["algorithm_runs"] += 1
-                for record in records:
-                    store.add(record)
-                if attempt > 1:
-                    sstats["retried_ok"] += 1
-                break
-            first = False
     stats["build_s"] = round(stats["build_s"], 6)
     stats["freeze_s"] = round(stats["freeze_s"], 6)
     return stats
 
 
-def _run_pool_supervised(
+def _run_pool(
     spec: SuiteSpec,
     groups: List[Tuple[str, List[Cell]]],
-    store,
     workers: int,
     arena_mb: int,
     context,
-    policy,
     shared: bool,
-    sstats: Dict[str, Any],
+    attempts: _Attempts,
 ) -> Dict[str, Any]:
-    """Pool execution under a supervisor policy.
+    """Pool execution: every task group is one work item on a process pool.
 
-    The legacy pool paths abort the whole suite on the first failure; this
-    scheduler instead treats every task group as an independently retryable
-    work item:
+    With ``shared`` on, a column is built, frozen and published into the
+    shared-memory arena when its first group is dispatched, and released
+    when its last group ends (ok or quarantined); columns the arena cannot
+    carry fall back to per-cell rebuilds.  The ``arena_mb`` budget gates
+    publication: while the next column would overflow the live window (and
+    spill is off), its groups wait in the queue, built but unpublished,
+    until an earlier column is released.  A column larger than the whole
+    budget still runs, alone.
+
+    Failures follow the policy (see :class:`_Attempts`):
 
     * **deadlines** — each in-flight future carries an absolute deadline;
       an expired one cannot be cancelled (``ProcessPoolExecutor`` has no
-      kill switch for a *running* task), so the supervisor terminates the
-      worker processes, respawns the pool, requeues the collateral
-      in-flight groups at their current attempt and charges the expired
-      groups a failed attempt;
+      kill switch for a *running* task), so the worker processes are
+      terminated, the pool respawned, the collateral in-flight groups
+      requeued at their current attempt and the expired groups charged a
+      failed attempt;
     * **worker death** (injected hard crash, OOM kill, segfault) — every
-      in-flight future surfaces ``BrokenProcessPool``; which group was
-      guilty is unknowable, so the pool is respawned and all victims fall
-      back to *serial in-parent* execution, where injected crashes are
-      soft (``InjectedFault``) and the normal retry/quarantine logic
-      applies;
-    * **retries** are re-enqueued with a seeded not-before backoff stamp
-      rather than sleeping the parent; **quarantine** writes explicit
-      failure records, and the suite always drains the full grid.
+      in-flight future surfaces ``BrokenProcessPool``.  Fail-fast lets it
+      propagate; an active policy cannot tell which group was guilty, so it
+      respawns the pool and finishes every victim serially in the parent,
+      where injected crashes are soft and the retry loop bounds them;
+    * **retries** are requeued with a seeded not-before stamp rather than
+      sleeping the parent.
 
-    Columns are published into the shared-memory arena on first dispatch
-    and released when their last group finishes terminally (ok or
-    quarantined); columns the arena cannot carry fall back to per-cell
-    rebuilds exactly like the legacy path.
+    The pool is a :class:`concurrent.futures.ProcessPoolExecutor` rather
+    than ``multiprocessing.Pool``: a dying worker surfaces as
+    ``BrokenProcessPool`` instead of a task that never completes.  On
+    success the pool shuts down and its workers are reaped; on any error
+    they are killed first, then reaped.  The arena is closed either way,
+    so every segment is unlinked on success, failure, worker death and
+    ``KeyboardInterrupt`` alike.
     """
     import collections
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
@@ -1698,9 +1399,10 @@ def _run_pool_supervised(
     from concurrent.futures.process import BrokenProcessPool
 
     from repro.graphs.csr import CSRUnsupported
-    from repro.pipeline import supervisor as sup
     from repro.pipeline.arena import ArenaUnavailable, CSRArena, install_worker_cleanup
+    from repro.pipeline.supervisor import CellTimeout
 
+    policy = attempts.policy
     stats = {
         "mode": "arena" if shared else "off",
         "columns": len(groups),
@@ -1715,10 +1417,11 @@ def _run_pool_supervised(
         "fallback_cells": 0,
         "arena_mb": arena_mb,
     }
-    forced = _forced_crashes(spec, groups, policy)
     column_cells = {key: cells for key, cells in groups}
 
     # Work items: (column key or None, task cells, attempt, not-before).
+    # Requeued items go to the front, so the columns not yet published
+    # always form the tail of the queue, in grid order.
     work = collections.deque()
     outstanding: Dict[str, int] = {}
     for key, cells in groups:
@@ -1730,6 +1433,7 @@ def _run_pool_supervised(
 
     arena = CSRArena(max_bytes=arena_mb * 1024 * 1024, spill_dir=spec.spill_dir) if shared else None
     segments: Dict[str, Any] = {}  # column key -> descriptor (None: fallback)
+    staged: Dict[str, Any] = {}  # column key -> (buffers, build_s, freeze_s)
     arena_broken = False
     futures: Dict[Any, Tuple[Optional[str], List[Cell], int, Optional[float]]] = {}
     pool = ProcessPoolExecutor(
@@ -1738,7 +1442,7 @@ def _run_pool_supervised(
 
     def _new_pool():
         nonlocal pool
-        sstats["pool_respawns"] += 1
+        attempts.stats["pool_respawns"] += 1
         telemetry.inc("supervisor_respawns")
         telemetry.event("supervisor.respawn")
         pool = ProcessPoolExecutor(
@@ -1746,15 +1450,19 @@ def _run_pool_supervised(
         )
 
     def _kill_pool() -> None:
-        """Terminate every worker and discard the executor (it cannot
-        cancel a *running* task any other way)."""
+        """Kill every worker (the executor cannot cancel a *running* task
+        any other way) and reap the pool.  SIGKILL, because a worker turns
+        SIGTERM into a failed task and keeps serving queued ones.  Reaping
+        before anything forks again matters: an executor left to wind down
+        keeps its helper threads alive, and a fork while they run can hand
+        the child a lock that no thread of the child will ever release."""
         processes = getattr(pool, "_processes", None) or {}
         for process in list(processes.values()):
             try:
-                process.terminate()
+                process.kill()
             except (OSError, AttributeError):  # pragma: no cover - best effort
                 pass
-        pool.shutdown(wait=False, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
 
     def _column_done(key: Optional[str]) -> None:
         """One of the column's groups finished terminally (ok/quarantined)."""
@@ -1763,28 +1471,39 @@ def _run_pool_supervised(
         outstanding[key] -= 1
         if outstanding[key] == 0:
             del outstanding[key]
-            if arena is not None and segments.get(key) is not None:
+            if segments.get(key) is not None:
                 arena.release(key)
             segments.pop(key, None)
 
-    def _descriptor_for(key: str):
-        """Publish the column on first dispatch; ``None`` means fallback."""
+    def _publish(key: str) -> bool:
+        """Publish the column on its first dispatch (a ``None`` descriptor
+        means fallback); ``False`` while it must wait for room."""
         nonlocal arena_broken
-        if key in segments:
-            return segments[key]
-        if arena_broken:
-            segments[key] = None
-            stats["fallback_cells"] += len(column_cells[key])
-            return None
-        _, csr, build_s, freeze_s = _build_column_graph(
-            spec, column_cells[key][0], mark_frozen=True, force_freeze=True
-        )
+        if key not in staged:
+            buffers, build_s, freeze_s = None, 0.0, 0.0
+            if not arena_broken:
+                _, csr, build_s, freeze_s = _build_column_graph(
+                    spec, column_cells[key][0], mark_frozen=True, force_freeze=True
+                )
+                try:
+                    buffers = csr.to_buffers() if csr is not None else None
+                except CSRUnsupported:
+                    # Labels that don't survive the typed JSON round trip
+                    # cannot ride the arena.
+                    buffers = None
+            staged[key] = (buffers, build_s, freeze_s)
+        buffers, build_s, freeze_s = staged[key]
+        if (
+            buffers is not None
+            and not arena.spill_enabled
+            and not arena.fits(sum(len(part) for part in buffers.values()))
+        ):
+            return False
+        del staged[key]
         descriptor = None
-        if csr is not None:
+        if buffers is not None:
             try:
-                descriptor = arena.publish(key, csr.to_buffers())
-            except CSRUnsupported:
-                descriptor = None
+                descriptor = arena.publish(key, buffers)
             except ArenaUnavailable as error:
                 warnings.warn(
                     "shared-memory arena degraded ({}); remaining columns "
@@ -1793,7 +1512,6 @@ def _run_pool_supervised(
                     stacklevel=2,
                 )
                 arena_broken = True
-                descriptor = None
         segments[key] = descriptor
         if descriptor is None:
             stats["fallback_cells"] += len(column_cells[key])
@@ -1803,31 +1521,26 @@ def _run_pool_supervised(
             stats["freeze_s"] += freeze_s
             stats["published_segments"] += 1
             stats["published_bytes"] += descriptor.total_len
-        return descriptor
+        return True
 
     def _submit(key: Optional[str], task_cells: List[Cell], attempt: int) -> None:
-        telemetry.event(
-            "supervisor.attempt", base_id=task_cells[0].base_id, attempt=attempt
-        )
-        payload = _group_payload(task_cells, spec)
-        payload["degrade"] = True
-        payload["attempt"] = attempt
-        fault = _fault_payload(
-            policy, task_cells[0].base_id, attempt, forced, hard_crash=True
-        )
-        if fault is not None:
-            payload["fault"] = fault
-        descriptor = _descriptor_for(key) if key is not None else None
+        attempts.begin(task_cells[0].base_id, attempt)
+        payload = attempts.payload(task_cells, attempt, hard_crash=True)
+        descriptor = segments.get(key) if key is not None else None
         if descriptor is not None:
             payload["segment"] = descriptor.to_dict()
             target = _execute_arena_cells
         else:
             target = _execute_cells
+            if not shared:
+                stats["graph_builds"] += 1
         try:
             future = pool.submit(target, payload)
         except BrokenProcessPool:
             # A worker died between batches; the break surfaces here rather
             # than through a future.  Respawn once and resubmit.
+            if not policy.active:
+                raise
             _kill_pool()
             _new_pool()
             future = pool.submit(target, payload)
@@ -1839,77 +1552,35 @@ def _run_pool_supervised(
         stats["algorithm_runs"] += 1
         futures[future] = (key, task_cells, attempt, deadline)
 
-    def _fail(key, task_cells, attempt, error) -> bool:
-        """Account one failed attempt; True = retry allowed, False = quarantined."""
-        sstats["failures"] += 1
-        if isinstance(error, sup.CellTimeout):
-            sstats["timeouts"] += 1
-            telemetry.inc("supervisor_timeouts")
-        if attempt >= policy.max_attempts:
-            sstats["quarantined"] += 1
-            telemetry.event(
-                "supervisor.quarantine",
-                base_id=task_cells[0].base_id,
-                attempts=attempt,
-                error=type(error).__name__,
-            )
-            for record in sup.failure_records(task_cells, spec, error, attempt):
-                store.add(record)
+    def _failed(key, task_cells, attempt, error) -> None:
+        """Requeue a failed attempt behind its backoff, or close it out."""
+        if attempts.fail(task_cells, attempt, error):
+            ready_at = time.monotonic() + attempts.backoff_s(task_cells, attempt)
+            work.appendleft((key, task_cells, attempt + 1, ready_at))
+        else:
             _column_done(key)
-            return False
-        sstats["retries"] += 1
-        telemetry.inc("supervisor_retries")
-        telemetry.event(
-            "supervisor.retry", base_id=task_cells[0].base_id, attempt=attempt
-        )
-        return True
 
-    def _serial_attempts(key, task_cells, attempt) -> None:
-        """Run one group to a terminal state in the parent (broken-pool path).
-
-        ``hard_crash=False``: an injected crash raises instead of exiting,
-        so the parent survives and the retry loop handles it like any other
-        failure.
-        """
-        base_id = task_cells[0].base_id
-        while True:
-            telemetry.event("supervisor.attempt", base_id=base_id, attempt=attempt)
-            payload = _group_payload(task_cells, spec)
-            payload["degrade"] = True
-            payload["attempt"] = attempt
-            fault = _fault_payload(policy, base_id, attempt, forced, hard_crash=False)
-            if fault is not None:
-                payload["fault"] = fault
-            try:
-                records = _execute_cells(payload)
-            except KeyboardInterrupt:
-                raise
-            except Exception as error:
-                if _fail(key, task_cells, attempt, error):
-                    time.sleep(policy.backoff_s(spec.master_seed, base_id, attempt))
-                    attempt += 1
-                    continue
-                return
-            stats["algorithm_runs"] += 1
-            for record in records:
-                store.add(record)
-            if attempt > 1:
-                sstats["retried_ok"] += 1
-            _column_done(key)
-            return
+    def _in_parent(task_cells: List[Cell], attempt: int):
+        return _execute_cells(attempts.payload(task_cells, attempt, hard_crash=False))
 
     try:
         while work or futures:
-            # Top up the pool, honouring not-before backoff stamps.
+            # Top up the pool, honouring not-before backoff stamps and the
+            # arena budget: a column waiting for room holds back every
+            # later one, so at most one column sits built but unpublished.
             now = time.monotonic()
             deferred = []
             while work and len(futures) < workers * 2:
                 item = work.popleft()
+                key = item[0]
                 if item[3] > now:
                     deferred.append(item)
                     continue
-                _submit(item[0], item[1], item[2])
-            work.extend(deferred)
+                if key is not None and key not in segments and not _publish(key):
+                    work.appendleft(item)
+                    break
+                _submit(key, item[1], item[2])
+            work.extendleft(reversed(deferred))
 
             if not futures:
                 if work:
@@ -1918,12 +1589,9 @@ def _run_pool_supervised(
                 continue
 
             wait_timeout = None
-            if policy.cell_timeout is not None:
-                deadlines = [
-                    deadline for (_, _, _, deadline) in futures.values() if deadline
-                ]
-                if deadlines:
-                    wait_timeout = max(0.05, min(deadlines) - time.monotonic() + 0.05)
+            deadlines = [meta[3] for meta in futures.values() if meta[3] is not None]
+            if deadlines:
+                wait_timeout = max(0.05, min(deadlines) - time.monotonic() + 0.05)
             done, _ = futures_wait(
                 set(futures), timeout=wait_timeout, return_when=FIRST_COMPLETED
             )
@@ -1947,16 +1615,12 @@ def _run_pool_supervised(
                 _kill_pool()
                 _new_pool()
                 for key, task_cells, attempt, _ in expired:
-                    error = sup.CellTimeout(
+                    error = CellTimeout(
                         "cell group {!r} exceeded the {}s deadline (attempt {})".format(
                             task_cells[0].base_id, policy.cell_timeout, attempt
                         )
                     )
-                    if _fail(key, task_cells, attempt, error):
-                        ready_at = time.monotonic() + policy.backoff_s(
-                            spec.master_seed, task_cells[0].base_id, attempt
-                        )
-                        work.appendleft((key, task_cells, attempt + 1, ready_at))
+                    _failed(key, task_cells, attempt, error)
                 for key, task_cells, attempt, _ in collateral:
                     # Not their fault: requeue at the same attempt, no backoff.
                     work.appendleft((key, task_cells, attempt, 0.0))
@@ -1968,24 +1632,17 @@ def _run_pool_supervised(
                 try:
                     records = future.result()
                 except BrokenProcessPool:
+                    if not policy.active:
+                        raise
                     # Same attempt, but *serially*: re-submitting to a fresh
                     # pool would let a deterministic hard crash kill pool
                     # after pool; in the parent the crash is soft and the
                     # normal retry/quarantine loop bounds it.
                     broken_victims.append((key, task_cells, attempt))
-                except KeyboardInterrupt:
-                    raise
                 except Exception as error:
-                    if _fail(key, task_cells, attempt, error):
-                        ready_at = time.monotonic() + policy.backoff_s(
-                            spec.master_seed, task_cells[0].base_id, attempt
-                        )
-                        work.append((key, task_cells, attempt + 1, ready_at))
+                    _failed(key, task_cells, attempt, error)
                 else:
-                    for record in _harvest_records(records):
-                        store.add(record)
-                    if attempt > 1:
-                        sstats["retried_ok"] += 1
+                    attempts.succeeded(records, attempt)
                     _column_done(key)
             if broken_victims:
                 # The executor is unusable and every other in-flight future
@@ -2000,14 +1657,23 @@ def _run_pool_supervised(
                 futures.clear()
                 _kill_pool()
                 _new_pool()
-                sstats["serial_fallbacks"] += len(victims)
+                attempts.stats["serial_fallbacks"] += len(victims)
                 for key, task_cells, attempt in victims:
-                    _serial_attempts(key, task_cells, attempt)
+                    group = functools.partial(_in_parent, task_cells)
+                    if attempts.run(task_cells, attempt, group):
+                        stats["algorithm_runs"] += 1
+                    _column_done(key)
         if arena is not None:
             stats["spilled_segments"] = arena.spilled_count
             stats["spilled_bytes"] = arena.spilled_bytes
+    except BaseException:
+        _kill_pool()
+        raise
+    else:
+        # Wait for the workers to exit: a pool left to wind down on its own
+        # leaves live children behind (uncounted in RUSAGE_CHILDREN).
+        pool.shutdown(wait=True)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
         if arena is not None:
             arena.close()
     stats["build_s"] = round(stats["build_s"], 6)
@@ -2056,8 +1722,10 @@ def run_suite(
             rebuilds where ``multiprocessing.shared_memory`` is unusable.
             Pure transport optimisation: records are identical either way.
         arena_mb: Byte budget (in MiB) for live shared-memory segments in
-            pool mode; columns beyond the budget wait until earlier columns
-            complete and are unlinked.
+            pool mode; a column that would overflow it waits, built but
+            unpublished, until earlier columns complete and are unlinked
+            (unless ``spill_dir`` lets it spill to disk).  A column larger
+            than the whole budget still runs, alone.
         start_method: Optional ``multiprocessing`` start method for the pool
             (``"fork"``, ``"spawn"``, ``"forkserver"``); ``None`` uses the
             platform default.
@@ -2076,8 +1744,10 @@ def run_suite(
         max_retries: Retries per failing cell before it is quarantined as
             an explicit ``status="failed"`` record (with the captured
             error) instead of aborting the suite.  Enables supervised
-            execution.  With all three knobs at their defaults the legacy
-            fail-fast behaviour is unchanged.  Failed records are treated
+            execution.  With all three knobs at their defaults the policy
+            is inactive, which is fail-fast: the first cell error aborts
+            the run (after the pool has shut down and every segment is
+            unlinked) and ``result.supervisor`` is ``{}``.  Failed records are treated
             as pending on resume, so rerunning the suite heals exactly the
             quarantined cells.
         trace: Path of a JSONL span-trace file (``--trace``); appended to,
@@ -2186,7 +1856,6 @@ def run_suite(
     supervisor_stats: Dict[str, Any] = {}
 
     # --- telemetry setup (all three knobs default off; ~zero cost then) ---
-    global _TELEMETRY_CONFIG
     trace_was_on = telemetry.tracing_enabled()
     metrics_was_on = telemetry.metrics_enabled()
     if trace:
@@ -2212,78 +1881,30 @@ def run_suite(
         with telemetry.span(
             "suite", suite=spec.name, cells=len(pending), skipped=skipped
         ) as suite_span:
-            if trace or metrics:
-                _TELEMETRY_CONFIG = {
-                    "trace": trace,
-                    "metrics": bool(metrics),
-                    "parent": suite_span.id,
-                }
             if pending:
+                telemetry_config = None
+                if trace or metrics:
+                    telemetry_config = {
+                        "trace": trace,
+                        "metrics": bool(metrics),
+                        "parent": suite_span.id,
+                    }
+                attempts = _Attempts(spec, groups, policy, exec_store, telemetry_config)
                 if policy.active:
-                    supervisor_stats = policy.stats()
-                    if workers == 1:
-                        arena_stats.update(
-                            _run_serial_supervised(
-                                spec, groups, exec_store, policy, shared,
-                                supervisor_stats,
-                            )
-                        )
-                    else:
-                        context = multiprocessing.get_context(start_method)
-                        arena_stats.update(
-                            _run_pool_supervised(
-                                spec,
-                                groups,
-                                exec_store,
-                                workers,
-                                arena_mb,
-                                context,
-                                policy,
-                                shared,
-                                supervisor_stats,
-                            )
-                        )
-                elif workers == 1:
-                    if shared:
-                        arena_stats.update(
-                            _run_serial_batched(spec, groups, exec_store)
-                        )
-                    else:
-                        for task_cells in task_groups:
-                            records = _execute_cells(
-                                _group_payload(task_cells, spec)
-                            )
-                            for record in _harvest_records(records):
-                                exec_store.add(record)
+                    supervisor_stats = attempts.stats
+                if workers == 1:
+                    arena_stats.update(_run_serial(spec, groups, shared, attempts))
                 else:
-                    from repro.pipeline.arena import install_worker_cleanup
-
-                    if shared:
-                        context = multiprocessing.get_context(start_method)
-                        arena_stats.update(
-                            _run_pool_arena(
-                                spec, groups, exec_store, workers, arena_mb, context
-                            )
+                    context = multiprocessing.get_context(start_method)
+                    arena_stats.update(
+                        _run_pool(
+                            spec, groups, workers, arena_mb, context, shared, attempts
                         )
-                    else:
-                        context = multiprocessing.get_context(start_method)
-                        payloads = [
-                            _group_payload(task_cells, spec)
-                            for task_cells in task_groups
-                        ]
-                        with context.Pool(
-                            processes=workers, initializer=install_worker_cleanup
-                        ) as pool:
-                            for records in pool.imap_unordered(
-                                _execute_cells, payloads
-                            ):
-                                for record in _harvest_records(records):
-                                    exec_store.add(record)
+                    )
             else:
                 arena_stats["graph_builds"] = 0
                 arena_stats["algorithm_runs"] = 0
     finally:
-        _TELEMETRY_CONFIG = None
         if reporter is not None:
             reporter.finish()
         seconds = time.perf_counter() - start

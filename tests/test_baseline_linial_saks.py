@@ -17,6 +17,7 @@ from repro.clustering.validation import (
     clusters_nonadjacent,
     weak_diameter,
 )
+from repro.pipeline import SuiteSpec, run_suite
 from tests.conftest import RANDOMIZED_DEAD_SLACK
 
 
@@ -105,3 +106,24 @@ class TestDecomposition:
     def test_handles_disconnected_graphs(self, disconnected_graph, rng):
         decomposition = linial_saks_decomposition(disconnected_graph, rng=rng)
         check_network_decomposition(decomposition)
+
+    def test_all_dead_repetition_keeps_adjacent_singletons_apart(self):
+        # Master seed 2 draws a repetition on small-world n=144 that clusters
+        # nobody; the singleton fallback once gave adjacent nodes one color.
+        spec = SuiteSpec(
+            name="ls93-all-dead-repetition",
+            scenarios=("small-world",),
+            sizes=(144,),
+            methods=("ls93",),
+            seeds=(0,),
+            tasks=("decompose", "mis", "coloring"),
+            master_seed=2,
+            validate=True,
+        )
+        result = run_suite(spec)
+        assert [record["cell"] for record in result.records] == [
+            "small-world/n144/ls93/s0",
+            "small-world/n144/ls93/mis/s0",
+            "small-world/n144/ls93/coloring/s0",
+        ]
+        assert all(record["status"] == "ok" for record in result.records)

@@ -250,6 +250,14 @@ class TestArenaPool:
         sources = {r["timings"]["source"] for r in pooled.records}
         assert sources <= {"arena", "arena-cached"}
 
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    @pytest.mark.parametrize("shared_graphs", ["on", "off"])
+    def test_pool_reaps_its_workers(self, shared_graphs, max_retries):
+        run_suite(
+            _spec(), workers=2, shared_graphs=shared_graphs, max_retries=max_retries
+        )
+        assert multiprocessing.active_children() == []
+
     def test_tiny_arena_budget_still_completes(self):
         spec = _spec()
         serial = run_suite(spec, shared_graphs="off")

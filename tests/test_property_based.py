@@ -14,8 +14,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.clustering.carving import BallCarving
+from repro.clustering.cluster import Cluster
 from repro.clustering.validation import (
     check_ball_carving,
+    check_network_decomposition,
     clusters_are_disjoint,
     clusters_nonadjacent,
     same_color_clusters_nonadjacent,
@@ -23,6 +26,7 @@ from repro.clustering.validation import (
     weak_diameter,
 )
 from repro.congest.messages import message_bits
+from repro.core.decomposition import decomposition_via_carving
 from repro.core.sparse_cut import LargeComponent, SparseCut, sparse_cut_or_component
 from repro.graphs.generators import assign_unique_identifiers
 from repro.graphs.properties import induced_components, is_partition
@@ -130,6 +134,57 @@ class TestDecompositionProperties:
         decomposition = repro.decompose(graph, method="mpx", seed=seed)
         assert decomposition.covered_nodes() == set(graph.nodes())
         assert same_color_clusters_nonadjacent(graph, decomposition.clusters)
+
+
+def _stalling_carving(first_round):
+    """A ball carving that clusters ``first_round`` as singletons on its
+    first call and nobody afterwards (an all-dead repetition)."""
+    calls = []
+
+    def carve(graph, eps, nodes=None, ledger=None):
+        chosen = [] if calls else list(first_round)
+        calls.append(chosen)
+        return BallCarving(
+            graph=graph,
+            clusters=[Cluster(nodes=frozenset({node}), label=node) for node in chosen],
+            dead=set(nodes) - set(chosen),
+            eps=eps,
+        )
+
+    return carve
+
+
+def _greedy_independent_set(graph, order):
+    chosen = []
+    for node in order:
+        if not any(graph.has_edge(node, other) for other in chosen):
+            chosen.append(node)
+    return chosen
+
+
+class TestDegenerateRepetitionProperties:
+    """A repetition that clusters nobody ends the reduction with singletons."""
+
+    @_SETTINGS
+    @given(connected_graphs(), st.data())
+    def test_singleton_fallback_is_a_valid_decomposition(self, graph, data):
+        order = data.draw(st.permutations(sorted(graph.nodes())))
+        first = _greedy_independent_set(graph, order)
+        decomposition = decomposition_via_carving(graph, _stalling_carving(first))
+        check_network_decomposition(decomposition)
+        fallback = [c for c in decomposition.clusters if c.nodes.isdisjoint(first)]
+        assert fallback and min(c.color for c in fallback) == 1
+
+    @_SETTINGS
+    @given(connected_graphs(), st.data())
+    def test_colors_unchanged_without_adjacent_remaining_nodes(self, graph, data):
+        order = data.draw(st.permutations(sorted(graph.nodes())))
+        remaining = _greedy_independent_set(graph, order)
+        decomposition = decomposition_via_carving(
+            graph, _stalling_carving([]), nodes=remaining
+        )
+        assert decomposition.covered_nodes() == set(remaining)
+        assert {cluster.color for cluster in decomposition.clusters} == {0}
 
 
 class TestSparseCutProperties:

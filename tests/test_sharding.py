@@ -1,6 +1,6 @@
 """Tests for deterministic suite sharding (repro.pipeline.runner.shard_of /
-shard_cells / parse_shard, shard provenance guards, and the builder-worker
-column pipeline that executes sharded and unsharded pools alike)."""
+shard_cells / parse_shard, shard provenance guards, and the pool
+executor's column pipeline that runs sharded and unsharded pools alike)."""
 
 import os
 
@@ -178,6 +178,9 @@ class TestShardedRuns:
 
 @requires_shm
 class TestBuilderPipeline:
+    """The pool executor's column pipeline: the parent builds and publishes
+    each column, the workers run its task groups against the segment."""
+
     _SPEC = {
         "name": "builder-run",
         "scenarios": ["torus", "grid"],
@@ -187,26 +190,48 @@ class TestBuilderPipeline:
         "tasks": ["decompose", "mis"],
     }
 
-    def test_pool_records_match_serial_and_builder_reports(self, tmp_path):
+    def test_pool_records_match_serial(self, tmp_path):
         serial = repro.run_suite(dict(self._SPEC))
         pooled = repro.run_suite(dict(self._SPEC), workers=2)
         assert [strip_volatile(r) for r in serial.records] == [
             strip_volatile(r) for r in pooled.records
         ]
-        builder = pooled.arena["builder"]
-        assert builder["columns"] == pooled.arena["columns"]
-        assert builder["build_s"] >= builder["overlap_s"] >= 0.0
-        assert builder["blocked_s"] >= 0.0
+        assert pooled.arena["published_segments"] == pooled.arena["columns"]
 
-    def test_backpressure_bounded_by_arena_budget(self, tmp_path):
+    def test_backpressure_bounded_by_arena_budget(self, monkeypatch):
+        from repro.pipeline.arena import CSRArena
+
+        live = set()
+        peak = [0]
+        publish, release = CSRArena.publish, CSRArena.release
+
+        def counting_publish(self, column_key, source):
+            descriptor = publish(self, column_key, source)
+            live.add((id(self), column_key))
+            peak[0] = max(peak[0], len(live))
+            return descriptor
+
+        def counting_release(self, column_key):
+            live.discard((id(self), column_key))
+            release(self, column_key)
+
+        monkeypatch.setattr(CSRArena, "publish", counting_publish)
+        monkeypatch.setattr(CSRArena, "release", counting_release)
         serial = repro.run_suite(dict(self._SPEC))
         # arena_mb=0 clamps the live window to one column at a time: the
-        # builder must block on the budget instead of overrunning it.
-        pooled = repro.run_suite(dict(self._SPEC), workers=2, arena_mb=0)
-        assert [strip_volatile(r) for r in serial.records] == [
-            strip_volatile(r) for r in pooled.records
-        ]
-        assert pooled.arena["builder"]["columns"] == pooled.arena["columns"]
+        # pool must hold the next column back instead of overrunning it,
+        # with the policy inactive (fail-fast) and active alike.
+        for max_retries in (0, 1):
+            peak[0] = 0
+            pooled = repro.run_suite(
+                dict(self._SPEC), workers=2, arena_mb=0, max_retries=max_retries
+            )
+            assert [strip_volatile(r) for r in serial.records] == [
+                strip_volatile(r) for r in pooled.records
+            ]
+            assert pooled.arena["published_segments"] == pooled.arena["columns"]
+            assert peak[0] == 1, max_retries
+            assert not live
 
     def test_sharded_pool_run(self, tmp_path):
         path = os.path.join(tmp_path, "s0.jsonl")
